@@ -4,7 +4,7 @@ module Table = Rdt_metrics.Table
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
-module Domain_pool = Rdt_parallel.Domain_pool
+module Barrier_team = Rdt_parallel.Barrier_team
 
 (* --- parallel fan-out -------------------------------------------------- *)
 
@@ -32,18 +32,18 @@ let get_pool () =
   match !pool with
   | Some p -> p
   | None ->
-    let p = Domain_pool.create ~jobs:!jobs () in
+    let p = Barrier_team.create ~size:!jobs in
     pool := Some p;
     p
 
 let shutdown_pool () =
   match !pool with
   | Some p ->
-    Domain_pool.shutdown p;
+    Barrier_team.shutdown p;
     pool := None
   | None -> ()
 
-let par_map f xs = Domain_pool.map (get_pool ()) f xs
+let par_map f xs = Barrier_team.map (get_pool ()) f xs
 
 let par_run cells = par_map (fun cell -> cell ()) cells
 

@@ -62,7 +62,8 @@ let () =
           | Some _ | None -> usage ()
         in
         Exp_support.set_jobs
-          (if n = 0 then Rdt_parallel.Domain_pool.default_jobs () else n);
+          (if n = 0 then Rdt_parallel.Barrier_team.hardware_parallelism ()
+           else n);
         parse (i + 2)
       | "--shards" ->
         if i + 1 >= Array.length Sys.argv then usage ();

@@ -887,11 +887,11 @@ let smoke () = run ~mode:`Smoke ()
    [tolerance] absorbs residual jitter on busy shared CI machines.
 
    The race only means something on a host with >= 4 hardware threads:
-   below that, Engine autotune runs shards=4 on the merged inline
-   executor (workers=1 — no domains, no barriers), so the "parallel"
-   side would not exercise parallel dispatch at all and the ratio would
-   gate nothing.  On such hosts the gate skips with an explicit message
-   instead of reporting a vacuous pass/fail.  [advisory] reports the
+   below that, Engine autotune runs the shards=4 windows inline on the
+   calling domain (workers=1 — no domains, no barriers), so the
+   "parallel" side would not exercise parallel dispatch at all and the
+   ratio would gate nothing.  On such hosts the gate skips with an
+   explicit message instead of reporting a vacuous pass/fail.  [advisory] reports the
    ratio but never fails — for shared runners where a wall-clock hard
    gate is too flaky to enforce. *)
 let mt_gate ?(tolerance = 0.10) ?(advisory = false) () =
@@ -899,8 +899,8 @@ let mt_gate ?(tolerance = 0.10) ?(advisory = false) () =
   if cores < 4 then begin
     Printf.printf
       "mt-gate: SKIP — host has %d hardware thread(s) < 4; autotune would \
-       run shards=4 on the merged inline executor, so the race would not \
-       measure parallel dispatch\n\
+       run the shards=4 windows inline on one domain, so the race would \
+       not measure parallel dispatch\n\
        %!"
       cores;
     true

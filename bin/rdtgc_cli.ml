@@ -151,7 +151,8 @@ let no_autotune_arg =
   Arg.(value & flag
        & info [ "no-autotune" ]
            ~doc:"Disable the engine's window autotuner (asymmetric per-shard \
-                 window boundaries and hardware-aware dispatch); every round \
+                 window boundaries, and inline windows on the calling domain \
+                 when the host has fewer cores than shards); every round \
                  then uses the symmetric lookahead window on a full domain \
                  team. An A/B knob for benchmarking — results are identical \
                  either way.")

@@ -186,9 +186,9 @@ let record t ~pid kind =
       let ev = { seq = t.next_seq; pid; kind } in
       (t.next_seq <- t.next_seq + 1)
       [@lint.single_writer
-        "no order source means sequential or inline dispatch: a single \
-         domain records (sharded runs install a source and take the \
-         other branch)"];
+        "no order source means a single-shard engine: one domain records \
+         (every sharded run installs a source and takes the other \
+         branch)"];
       Vec.push t.logs.(pid) ev;
       List.iter (fun f -> f ev) t.on_event
     | Some source ->

@@ -364,10 +364,10 @@ let create (cfg : Sim_config.t) =
       ~autotune:cfg.autotune ()
   in
   let trace = Trace.create ~n:cfg.n in
-  (* Sequential and merged-inline engines record in canonical order
-     already; only parallel dispatch — where processes append from
-     different domains — needs the trace to defer sequencing until the
-     stamps can be merged. *)
+  (* A sequential engine records in canonical order already; a sharded
+     one runs each round slice by slice (on a domain team or inline on
+     the caller), so the trace defers sequencing until the stamps can be
+     merged. *)
   if Engine.parallel_dispatch engine then
     Trace.set_order_source trace (Engine.read_stamp engine);
   (* Per-process state is built shard block by shard block (the engine's

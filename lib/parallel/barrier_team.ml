@@ -1,9 +1,9 @@
 (* A persistent team of domains for repeated barrier-synchronized rounds.
 
-   Domain_pool hands independent tasks to whichever worker is free; the
-   sharded simulation engine needs the opposite shape: the *same* [size]
-   workers re-invoked every time window, each on its own fixed shard
-   index, with a full barrier between rounds.  A steady-state round
+   The sharded simulation engine needs the *same* [size] workers
+   re-invoked every time window, each on its own fixed shard index, with
+   a full barrier between rounds; [map] builds independent-task fan-out
+   (the experiment harness) on one such round.  A steady-state round
    allocates nothing: the job is stored in a plain field (no option box),
    round start and completion are signalled through atomic counters, and
    members spin briefly on those counters before parking on a condition
@@ -38,7 +38,9 @@ type t = {
    joined a team (in particular the caller), the member index inside a
    round's job otherwise.  The engine uses this to find "its" shard from
    inside an event handler without threading the index through every
-   callback. *)
+   callback.  A worker keeps its index for life, so a round started from
+   inside another team's job (a sharded engine run as a [map] task) must
+   reset it to 0 for the caller's slice — see [as_member0]. *)
 (* [worker] is the body every spawned team member runs ([Domain.spawn]
    gets it partially applied, so rdt_lint cannot see the closure); its
    owned root is the fixed member index [i].  Everything else it touches
@@ -123,10 +125,20 @@ let create ~size =
 
 let size t = t.size
 
+(* [f 0] on the calling domain, executing as member 0 of this round
+   whatever index the domain carries from an enclosing team; the failure,
+   if any, is returned so the caller can finish the barrier first *)
+let as_member0 f =
+  let prev = Domain.DLS.get dls_index in
+  Domain.DLS.set dls_index 0;
+  let failure = (try f 0; None with e -> Some e) in
+  Domain.DLS.set dls_index prev;
+  failure
+
 let run_sub t ~active f =
   if active < 1 then invalid_arg "Barrier_team.run_sub: active must be >= 1";
   let active = min active t.size in
-  if active = 1 then f 0
+  if active = 1 then Option.iter raise (as_member0 f)
   else begin
     t.job <- f;
     t.active <- active;
@@ -138,7 +150,7 @@ let run_sub t ~active f =
     Mutex.lock t.m;
     Condition.broadcast t.start;
     Mutex.unlock t.m;
-    let caller_failure = (try f 0; None with e -> Some e) in
+    let caller_failure = as_member0 f in
     let rec await spins =
       if Atomic.get t.remaining > 0 then
         if spins > 0 then begin
@@ -167,6 +179,33 @@ let run_sub t ~active f =
 
 let run t f = run_sub t ~active:t.size f
 
+(* Independent tasks on one round: members claim input indices from a
+   shared counter (dynamic load balance — a slow item never stalls the
+   items behind it), and each result lands in the slot of its index, so
+   the output order is the input order at any team size.  The round's
+   barrier publishes every slot back to the caller. *)
+let map t f xs =
+  let inputs = Array.of_list xs in
+  let len = Array.length inputs in
+  let results = Array.make len None in
+  let next = Atomic.make 0 in
+  let rec claim () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < len then begin
+      results.(i) <- Some (try Ok (f inputs.(i)) with e -> Error e);
+      claim ()
+    end
+  in
+  if len > 0 then run_sub t ~active:len (fun _ -> claim ());
+  (* every item finished; the lowest-index failure wins *)
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Ok v) -> v
+         | Some (Error e) -> raise e
+         | None -> assert false)
+       results)
+
 let shutdown t =
   Atomic.set t.stop true;
   Mutex.lock t.m;
@@ -184,7 +223,7 @@ let shutdown t =
    respawned larger) when a borrower asks for more members than it has,
    and joined at process exit so the runtime never waits on parked
    domains.  Exclusive borrowing keeps rounds non-reentrant even when
-   several engines run concurrently (e.g. under Domain_pool): a second
+   several engines run concurrently (e.g. as [map] tasks): a second
    concurrent borrower simply gets [None] and falls back to a private
    team. *)
 

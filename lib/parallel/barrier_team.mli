@@ -1,7 +1,7 @@
-(** Persistent domain team for repeated barrier-synchronized rounds.
+(** Persistent domain team for repeated barrier-synchronized rounds, and
+    the project's one domain pool.
 
-    {!Domain_pool} distributes independent tasks; this module instead
-    re-invokes the {e same} [size] members every round — member [i] always
+    A round re-invokes the {e same} [size] members — member [i] always
     processes index [i] — with a full barrier at the end of each round.
     The sharded simulation engine drives one round per conservative time
     window, so rounds are built to be cheap: a steady-state round
@@ -15,8 +15,9 @@
     caller's plain (non-atomic) mutable state to the workers, and each
     worker's release decrement at the barrier publishes its writes back —
     these are the happens-before edges that let the engine hand plain
-    shard state from one round's writer to the next round's reader.  This
-    is the project's designated home (with {!Domain_pool}) for
+    shard state from one round's writer to the next round's reader.
+    {!map} runs independent tasks (the experiment harness's simulation
+    cells) on one round.  This is the project's designated home for
     [Domain]/[Mutex]/[Condition]/[Atomic] use — rdt_lint's det/* rules
     flag those primitives anywhere else. *)
 
@@ -42,10 +43,24 @@ val run_sub : t -> active:int -> (int -> unit) -> unit
     serve engines of different shard counts.  With [active = 1] the job
     runs inline on the caller and no worker is woken. *)
 
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map t f xs] applies [f] to every element of [xs] on one round of up
+    to [size t] members and returns the results in the order of [xs],
+    whichever member computed them.  Members claim input indices from a
+    shared atomic counter, so load balances dynamically.  If any
+    application raises, the exception of the lowest failing input index
+    is re-raised in the caller after every item finished.  A [size = 1]
+    team runs every item on the caller, in input order.  [f] may run
+    rounds of {e
+    another} team (e.g. a sharded engine), but must not call back into
+    [t]. *)
+
 val self_index : unit -> int
 (** Index of the round member the current domain is executing as; [0] on
     any domain outside a round (in particular the caller between rounds).
-    Backed by domain-local storage. *)
+    A round started from inside another team's job sees its own indices:
+    the caller runs as member [0] and gets its outer index back when the
+    round ends.  Backed by domain-local storage. *)
 
 val shutdown : t -> unit
 (** Join the worker domains; idempotent.  The team must not be used

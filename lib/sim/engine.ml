@@ -44,8 +44,7 @@ type stats = {
 [@@@lint.zero_alloc_hot
   "self_shard" "read_stamp" "step_shard" "process_shard" "window_job"
   "grow_outcell" "outbox_push" "drain_outboxes" "any_local_le" "window_round"
-  "note_insert" "pick_verify" "pick_merged" "exec_merged" "step_merged"
-  "run_merged" "finish_mt"]
+  "finish_mt"]
 
 (* The mt/* ownership contract (DESIGN.md §16).  These functions execute
    inside a window — on a team member's domain under parallel dispatch —
@@ -55,16 +54,14 @@ type stats = {
    cell ([read_stamp]), the sending process ([send], and [outbox_push],
    whose mailbox row [ss] belongs to the writing shard), the owning
    process of a scheduled action ([schedule]), or the cell being grown
-   ([grow_outcell], [note_insert] — a shard only lowers its own cached
-   head-time entry during a window, see the comment at [note_insert]).
-   The barrier-side functions ([dispatch], [drain_outboxes],
-   [window_round], [exec_globals_at], the merged executor, [create]) run
-   on the caller's domain with the team parked and are deliberately not
+   ([grow_outcell]).  The barrier-side functions ([dispatch],
+   [drain_outboxes], [window_round], [exec_globals_at], [create]) run on
+   the caller's domain with the team parked and are deliberately not
    scopes. *)
 [@@@lint.domain_scope
   "window_job:s" "process_shard:s" "step_shard:sh" "execute:sh"
-  "read_stamp:c" "send:src" "schedule:owner:pin" "note_insert:qi"
-  "outbox_push:ss" "grow_outcell:box"]
+  "read_stamp:c" "send:src" "schedule:owner:pin" "outbox_push:ss"
+  "grow_outcell:box"]
 [@@@lint.domain_index "self_shard"]
 
 let[@inline] fmin (a : float) (b : float) = if a < b then a else b
@@ -133,20 +130,10 @@ type 'msg t = {
      hardware parallelism (or autotuning is off), else 1 — windowed
      execution inline on the caller, no team, no barriers, no mailboxes *)
   workers : int;
-  (* window-executor state, preallocated so the loop allocates nothing.
-     [etimes] is one contiguous row of cached head times — entry [s] for
-     shard [s]'s queue, entry [nshards] for the global queue.  The merged
-     executor maintains it as a lower bound on each queue's true head
-     time ([=] for a freshly refreshed entry): inserts lower the bound
-     ([note_insert]), pops refresh it exactly, lazy cancellation only
-     raises the true head so the bound stays valid.  Its argmin then
-     scans one or two cache lines instead of dereferencing [k + 1]
-     scattered heap heads per event.  The windowed executor reuses the
-     first [nshards] entries as per-round scratch (it recomputes them
-     every round, which trivially satisfies the bound). *)
-  etimes : float array;
+  (* window-executor state, preallocated so the loop allocates nothing *)
+  heads : float array;  (* per-shard queue head times, this round *)
   his : float array;  (* per-shard window boundary for this round *)
-  wscratch : float array;  (* [min; second-min] of etimes *)
+  wscratch : float array;  (* [min; second-min] of heads *)
   mutable win_inclusive : bool;  (* close events at exactly the boundary *)
   mutable active_shard : int;  (* slice the caller runs (inline dispatch) *)
   mutable parallel : bool;  (* inside a team round *)
@@ -172,11 +159,12 @@ let shard_bounds t s =
 let rng t = t.rng
 let network t = t.net
 
-(* Whether [run] interleaves processes across domains.  [false] covers
-   the sequential executor and the merged inline executor, both of which
-   execute (and therefore record) in canonical order already — consumers
-   like the trace use this to skip deferred stamp-merging entirely. *)
-let parallel_dispatch t = t.nshards > 1 && t.workers > 1
+(* Whether execution leaves canonical order: every sharded executor runs
+   a round shard slice by shard slice (interleaved across domains, or one
+   after another on the caller), so only the sequential executor records
+   in canonical order — consumers like the trace use this to skip
+   deferred stamp-merging entirely. *)
+let parallel_dispatch t = t.nshards > 1
 
 (* the shard whose slice the current domain is executing; under parallel
    dispatch the team member index is the shard index, under inline
@@ -296,12 +284,6 @@ let drain_outboxes t =
 
 (* --- sends and schedules ----------------------------------------------- *)
 
-(* maintain the cached head-time row across a direct queue insert; under
-   parallel dispatch a shard only inserts into its own queue (cross-shard
-   goes through the outboxes), so concurrent writes hit disjoint entries *)
-let[@inline] note_insert t qi (at : float) =
-  if at < t.etimes.(qi) then t.etimes.(qi) <- at
-
 let send t ?(reliable = false) ~src ~dst msg =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.send: bad destination";
   if src < 0 || src >= t.n then invalid_arg "Engine.send: bad source";
@@ -339,10 +321,7 @@ let send t ?(reliable = false) ~src ~dst msg =
     if t.parallel && in_windows t.phase && ds <> ss then
       outbox_push t ss ds ~time:at ~u ~v ev
     else
-      begin
-        Event_queue.add_keyed_unit t.shards.(ds).queue ~time:at ~u ~v ev;
-        note_insert t ds at
-      end
+      (Event_queue.add_keyed_unit t.shards.(ds).queue ~time:at ~u ~v ev)
       [@lint.single_writer
         "cross-shard under parallel dispatch took the outbox branch above; \
          here either ds = sender's shard or a single domain runs every \
@@ -359,13 +338,8 @@ let schedule t ?owner ?pin ~at f =
       invalid_arg "Engine.schedule: action routed to another shard";
     let v = t.act_seq.(p) in
     t.act_seq.(p) <- v + 1;
-    let h =
-      Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u:((p lsl 1) lor 1)
-        ~v
-        (Action { owner; f })
-    in
-    note_insert t ds at;
-    h
+    Event_queue.add_keyed t.shards.(ds).queue ~time:at ~u:((p lsl 1) lor 1) ~v
+      (Action { owner; f })
   | None ->
     begin
       if t.nshards > 1 && in_windows t.phase then
@@ -374,15 +348,9 @@ let schedule t ?owner ?pin ~at f =
            give it an owner or pin";
       let v = t.glob_seq in
       t.glob_seq <- v + 1;
-      let q, qi =
-        if t.nshards = 1 then (t.shards.(0).queue, 0) else (t.global, t.nshards)
-      in
-      let h =
-        Event_queue.add_keyed q ~time:at ~u:max_int ~v
-          (Action { owner = None; f })
-      in
-      note_insert t qi at;
-      h
+      let q = if t.nshards = 1 then t.shards.(0).queue else t.global in
+      Event_queue.add_keyed q ~time:at ~u:max_int ~v
+        (Action { owner = None; f })
     end
     [@lint.single_writer
       "the invalid_arg above rejects this branch inside windows; at a \
@@ -552,13 +520,13 @@ let window_round t team ~limit =
   let k = t.nshards in
   let ng = Event_queue.next_time t.global in
   let gb = fmin ng limit in
-  let et = t.etimes in
+  let heads = t.heads in
   let ws = t.wscratch in
   ws.(0) <- infinity;
   ws.(1) <- infinity;
   for s = 0 to k - 1 do
     let e = Event_queue.next_time t.shards.(s).queue in
-    et.(s) <- e;
+    heads.(s) <- e;
     if e < ws.(0) then begin
       ws.(1) <- ws.(0);
       ws.(0) <- e
@@ -587,7 +555,7 @@ let window_round t team ~limit =
     let l = t.lookahead in
     if t.autotune then
       for d = 0 to k - 1 do
-        let e = et.(d) in
+        let e = heads.(d) in
         let m_other = if e = w then m2 else w in
         t.his.(d) <- fmin gb (fmin (m_other +. l) (e +. (l +. l)))
       done
@@ -600,105 +568,8 @@ let window_round t team ~limit =
     true
   end
 
-(* --- inline merged executor (shards > 1, one executing domain) --------- *)
-
-(* When [run] has only the calling domain (host narrower than the shard
-   count), conservative windows buy nothing — they exist so domains can
-   run between barriers without seeing each other.  A single domain can
-   instead pop whichever queue holds the canonically least head: the
-   engine's [(time, u, v)] keys are unique across its queues at any
-   timestamp, so this k-way merge replays {e exactly} the one-queue
-   sequential order, while keeping the shallower per-shard heaps.  The
-   global queue joins the merge as one more head; its [u = max_int] keeps
-   every global after the routed events of its timestamp, just as the
-   window barrier would. *)
-
-(* Among the queues whose cached head time equals the row minimum [m],
-   find the one whose (verified) head is least by [(u, v)].  A stale
-   candidate — its true head moved past [m] since the cache was written
-   (popped, or died to lazy cancellation) — is refreshed to its exact
-   head time and drops out.  [-1] if every candidate was stale.  Plain
-   recursion so the running best lives in registers, not a boxed ref. *)
-let rec pick_verify t (m : float) i best bu bv =
-  if i > t.nshards then best
-  else if t.etimes.(i) = m then begin
-    let q = if i = t.nshards then t.global else t.shards.(i).queue in
-    let e = Event_queue.next_time q in
-    if e <> m then begin
-      t.etimes.(i) <- e;
-      pick_verify t m (i + 1) best bu bv
-    end
-    else
-      let u = Event_queue.head_u q in
-      if u < bu || (u = bu && Event_queue.head_v q < bv) then
-        pick_verify t m (i + 1) i u (Event_queue.head_v q)
-      else pick_verify t m (i + 1) best bu bv
-  end
-  else pick_verify t m (i + 1) best bu bv
-
-(* canonically least head across the shard queues and the global queue
-   (index [nshards]); [-1] when everything is empty.  The argmin runs
-   over the cached [etimes] row; only candidates at the minimum get a
-   real queue probe — in the common case exactly one, the queue about to
-   be popped anyway.  On return the winner's [etimes] entry is exact, so
-   the caller's limit check needs no further probe. *)
-let rec pick_merged t =
-  let et = t.etimes in
-  let ws = t.wscratch in
-  ws.(0) <- infinity;
-  for i = 0 to t.nshards do
-    if et.(i) < ws.(0) then ws.(0) <- et.(i)
-  done;
-  let m = ws.(0) in
-  if m = infinity then -1
-  else begin
-    let best = pick_verify t m 0 (-1) max_int max_int in
-    (* every candidate at [m] was stale: their entries are refreshed now,
-       so the next scan sees the true minimum *)
-    if best >= 0 then best else pick_merged t
-  end
-
-let exec_merged t s =
-  if s = t.nshards then begin
-    (* a global action: caller's domain, global clock — the same context
-       the window barrier gives it *)
-    t.phase <- Global;
-    (match Event_queue.pop t.global with
-    | None -> ()
-    | Some (time, ev) ->
-      if time > t.gclock.(0) then t.gclock.(0) <- time;
-      t.gcur_v <- Event_queue.last_v t.global;
-      t.shards.(0).st.events <- t.shards.(0).st.events + 1;
-      execute t t.shards.(0) ev);
-    t.etimes.(s) <- Event_queue.next_time t.global
-  end
-  else begin
-    t.phase <- Windows;
-    t.active_shard <- s;
-    ignore (step_shard t t.shards.(s));
-    (* refresh after execution, so inserts made by the handler into this
-       very queue are covered by the exact value *)
-    t.etimes.(s) <- Event_queue.next_time t.shards.(s).queue
-  end
-
-let rec run_merged t ~limit =
-  let s = pick_merged t in
-  (* [etimes.(s)] is exact after a successful pick *)
-  if s >= 0 && t.etimes.(s) <= limit then begin
-    exec_merged t s;
-    run_merged t ~limit
-  end
-
-let step_merged t =
-  let s = pick_merged t in
-  if s < 0 then false
-  else begin
-    exec_merged t s;
-    true
-  end
-
 (* allocation-free (wscratch, not a ref): [step] calls this once per
-   event/window, so it is part of the steady state the alloc tests pin *)
+   window, so it is part of the steady state the alloc tests pin *)
 let finish_mt t ~limit =
   let ws = t.wscratch in
   ws.(0) <- t.gclock.(0);
@@ -711,29 +582,25 @@ let finish_mt t ~limit =
 let run ?until t =
   let limit = Option.value until ~default:infinity in
   if t.nshards = 1 then run_seq t ~limit
-  else if t.workers = 1 then
-    (* no hardware parallelism to win: merged execution on the calling
-       domain — no domains, no barriers, no mailboxes, no windows *)
-    Fun.protect
-      ~finally:(fun () -> finish_mt t ~limit)
-      (fun () -> run_merged t ~limit)
   else begin
-    match Barrier_team.shared_acquire ~size:t.workers with
-    | Some team ->
-      Fun.protect
-        ~finally:(fun () ->
-          Barrier_team.shared_release team;
-          finish_mt t ~limit)
-        (fun () -> while window_round t (Some team) ~limit do () done)
-    | None ->
-      (* another engine holds the shared team (concurrent sharded runs):
-         fall back to a private one for this run *)
-      let team = Barrier_team.create ~size:t.workers in
-      Fun.protect
-        ~finally:(fun () ->
-          Barrier_team.shutdown team;
-          finish_mt t ~limit)
-        (fun () -> while window_round t (Some team) ~limit do () done)
+    let team, release =
+      if t.workers = 1 then
+        (* no hardware parallelism to win: windows inline on the calling
+           domain — no team, no barriers, no mailboxes *)
+        (None, ignore)
+      else
+        match Barrier_team.shared_acquire ~size:t.workers with
+        | Some team -> (Some team, Barrier_team.shared_release)
+        | None ->
+          (* another engine holds the shared team (concurrent sharded
+             runs): fall back to a private one for this run *)
+          (Some (Barrier_team.create ~size:t.workers), Barrier_team.shutdown)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter release team;
+        finish_mt t ~limit)
+      (fun () -> while window_round t team ~limit do () done)
   end
 
 let step t =
@@ -742,12 +609,6 @@ let step t =
     let r = step_shard t t.shards.(0) in
     t.phase <- Idle;
     t.gclock.(0) <- t.shards.(0).clock.(0);
-    r
-  end
-  else if t.workers = 1 then begin
-    (* one event of the merged inline order *)
-    let r = step_merged t in
-    finish_mt t ~limit:infinity;
     r
   end
   else begin
@@ -813,7 +674,7 @@ let create ~n ~seed ~net ?(shards = 1) ?(autotune = true) () =
       lookahead = net.Network.min_delay;
       autotune;
       workers;
-      etimes = Array.make (nshards + 1) infinity;
+      heads = Array.make nshards infinity;
       his = Array.make nshards 0.0;
       wscratch = Array.make 2 infinity;
       win_inclusive = false;

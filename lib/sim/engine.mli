@@ -29,13 +29,10 @@
     rounds run on a persistent team of pinned domains (borrowed from the
     process-wide {!Rdt_parallel.Barrier_team}), with cross-shard sends
     buffered in pooled per-pair mailboxes drained at the round barrier.
-    When it does not, windows buy nothing — they exist so domains can run
-    between barriers without seeing each other — so the engine drops them
-    entirely and the calling domain pops whichever queue holds the
-    canonically least head (a k-way merge over a cached row of head
-    times).  Because canonical keys are unique across the engine's queues
-    at any timestamp, the merge replays {e exactly} the one-queue
-    sequential order while keeping the shallower per-shard heaps.
+    When it does not, the same rounds run inline on the calling domain,
+    one shard slice after another, with cross-shard sends inserted
+    straight into the destination queue (the arrival lies beyond every
+    slice boundary of the round) — no team, no barriers, no mailboxes.
     Steady-state execution allocates nothing on either path.
 
     Execution order is {e identical} at every shard count: simultaneous
@@ -84,8 +81,8 @@ val create :
   'msg t
 (** [?shards] (default [1]) is clamped to [n].  [?autotune] (default
     [true]) enables per-shard asymmetric window boundaries and
-    hardware-aware dispatch (merged inline execution when the host has
-    fewer cores than shards); with [false], every round uses the
+    hardware-aware dispatch (rounds inline on the calling domain when the
+    host has fewer cores than shards); with [false], every round uses the
     symmetric [w + L] window on a full domain team regardless of the
     host.  Neither setting affects the event order — only wall-clock.
     @raise Invalid_argument if [shards > 1] and [net.min_delay <= 0]. *)
@@ -100,11 +97,11 @@ val shard_of_pid : _ t -> int -> int
     [(n, shards)].  Used by callers that keep per-shard counters. *)
 
 val parallel_dispatch : _ t -> bool
-(** Whether {!run} will interleave processes across domains.  [false] for
-    single-shard engines {e and} for sharded engines that will execute
-    inline (merged order) because the host lacks the cores — in both
-    cases events run, and are observed by callbacks, in canonical order
-    already, so consumers such as the trace can skip deferred
+(** Whether callbacks may observe events out of canonical order: [true]
+    for every sharded engine, whose rounds run shard slice by shard slice
+    (across a domain team, or one after another on the calling domain).
+    [false] only for single-shard engines, whose events run in canonical
+    order already, so consumers such as the trace can skip deferred
     stamp-merging. *)
 
 val shard_bounds : _ t -> int -> int * int
@@ -187,11 +184,9 @@ val flush_in_flight : _ t -> unit
     Not callable from a routed handler of a sharded engine. *)
 
 val step : _ t -> bool
-(** Execute the next event ([shards = 1], or a sharded engine executing
-    inline — the merged order is per-event) or the next conservative
-    window on the calling domain (a sharded engine with a team — same
-    event order as {!run}, without parallel dispatch).  Returns [false]
-    if nothing was left. *)
+(** Execute the next event ([shards = 1]) or the next conservative round
+    on the calling domain ([shards > 1] — the same event order as {!run},
+    without parallel dispatch).  Returns [false] if nothing was left. *)
 
 val run : ?until:float -> _ t -> unit
 (** Execute events until the queues are empty or the next event is strictly
@@ -199,7 +194,7 @@ val run : ?until:float -> _ t -> unit
     [until].  With [shards > 1] and enough cores this borrows the
     process-wide domain team for the duration of the call (falling back
     to a private team if it is busy); with fewer cores than shards the
-    merged inline executor runs on the calling domain. *)
+    rounds run inline on the calling domain. *)
 
 val stats : _ t -> stats
 (** Counters merged across shards (a fresh record; mutating it does not

@@ -235,16 +235,6 @@ let[@inline] next_time t =
     if top.live then top.time else next_time_skip_dead t
   end
 
-(* Canonical key of the head entry, for cross-queue merging: the sharded
-   engine's inline executor picks, among its per-shard queues, the head
-   that is least by (time, u, v) — which is exactly the order one merged
-   queue would pop, because the engine's canonical keys are unique across
-   its queues at any timestamp.  Only meaningful straight after a
-   [next_time] probe returned a finite time (which also guarantees the
-   head is live). *)
-let[@inline] head_u t = t.data.(0).u
-let[@inline] head_v t = t.data.(0).v
-
 let is_empty t = !(t.live_count) = 0
 
 let length t = !(t.live_count)

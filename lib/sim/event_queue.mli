@@ -74,14 +74,6 @@ val next_time : 'a t -> float
     inline across modules, so the sharded engine's window loop reads queue
     heads without boxing a float or an option. *)
 
-val head_u : 'a t -> int
-val head_v : 'a t -> int
-(** Canonical key of the head entry, for cross-queue merging (the sharded
-    engine's inline executor pops whichever of its queues has the least
-    head by [(time, u, v)]).  Only meaningful immediately after
-    {!next_time} returned a finite value, which also guarantees the head
-    is live. *)
-
 val is_empty : 'a t -> bool
 (** [true] iff no non-cancelled entry remains. *)
 

@@ -292,7 +292,7 @@ let gen_simulated rng ~seed ~max_procs ~shards =
   let ops = List.rev !ops in
   let ops = List.filteri (fun i _ -> i < max_transcribed_ops) ops in
   let ops =
-    (* sometimes finish with a crash so recovery paths get simulated
+    (* occasionally finish with a crash so recovery paths get simulated
        coverage too *)
     if Prng.int rng 3 = 0 then ops @ [ Crash [ Prng.int rng n ] ] else ops
   in

@@ -236,7 +236,7 @@ let test_sharded_stats_merge () =
     (s.Engine.sent, s.Engine.delivered, s.Engine.events)
   in
   Alcotest.(check (triple int int int))
-    "merged stats equal sequential" (run 1) (run 4)
+    "shard-summed stats equal sequential" (run 1) (run 4)
 
 let suite =
   [

@@ -1,8 +1,9 @@
-(* The domain pool behind the experiment harness: input-order results,
-   exception propagation, and byte-identical experiment artifacts at any
-   job count. *)
+(* The domain pool behind the experiment harness ([Barrier_team.map]):
+   input-order results, exception propagation, and byte-identical
+   experiment artifacts at any job count, including when the tasks run
+   sharded engines of their own. *)
 
-module Domain_pool = Rdt_parallel.Domain_pool
+module Barrier_team = Rdt_parallel.Barrier_team
 module Runner = Rdt_core.Runner
 module Sim_config = Rdt_core.Sim_config
 module Workload = Rdt_workload.Workload
@@ -10,15 +11,15 @@ module Series = Rdt_metrics.Series
 module Table = Rdt_metrics.Table
 
 let with_pool ~jobs f =
-  let pool = Domain_pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
+  let pool = Barrier_team.create ~size:jobs in
+  Fun.protect ~finally:(fun () -> Barrier_team.shutdown pool) (fun () -> f pool)
 
 let test_map_order () =
   List.iter
     (fun jobs ->
       with_pool ~jobs (fun pool ->
           let inputs = List.init 50 Fun.id in
-          let doubled = Domain_pool.map pool (fun x -> 2 * x) inputs in
+          let doubled = Barrier_team.map pool (fun x -> 2 * x) inputs in
           Alcotest.(check (list int))
             (Printf.sprintf "jobs=%d returns results in input order" jobs)
             (List.map (fun x -> 2 * x) inputs)
@@ -29,15 +30,15 @@ let test_map_empty_and_small () =
   with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (list int))
         "empty input" []
-        (Domain_pool.map pool (fun x -> x) []);
+        (Barrier_team.map pool (fun x -> x) []);
       Alcotest.(check (list int))
         "fewer items than workers" [ 10 ]
-        (Domain_pool.map pool (fun x -> 10 * x) [ 1 ]))
+        (Barrier_team.map pool (fun x -> 10 * x) [ 1 ]))
 
 let test_pool_reuse () =
   with_pool ~jobs:3 (fun pool ->
-      let a = Domain_pool.map pool string_of_int [ 1; 2; 3 ] in
-      let b = Domain_pool.map pool String.length a in
+      let a = Barrier_team.map pool string_of_int [ 1; 2; 3 ] in
+      let b = Barrier_team.map pool String.length a in
       Alcotest.(check (list int)) "second map over first" [ 1; 1; 1 ] b)
 
 exception Boom of int
@@ -47,7 +48,7 @@ let test_exception_propagation () =
     (fun jobs ->
       with_pool ~jobs (fun pool ->
           match
-            Domain_pool.map pool
+            Barrier_team.map pool
               (fun x -> if x mod 3 = 2 then raise (Boom x) else x)
               (List.init 9 Fun.id)
           with
@@ -62,11 +63,28 @@ let test_exception_propagation () =
 let test_default_jobs_positive () =
   Alcotest.(check bool)
     "recommended domain count is positive" true
-    (Domain_pool.default_jobs () >= 1)
+    (Barrier_team.hardware_parallelism () >= 1)
 
 (* The harness's real workload: independent simulation cells evaluated on
    the pool must produce exactly the sequential results, at any job
-   count.  Compares full summaries and the sampled series values. *)
+   count.  Compares full summaries and the sampled series values.
+
+   The last cell runs a two-shard engine inside a map task, i.e. a
+   Barrier_team round started on a pool worker whose domain carries a
+   non-zero member index of its own; the inner round's caller must still
+   execute shard 0 ([bench eval -j N --shards K] does exactly this).
+   [autotune = false] forces the domain team on any host. *)
+let sharded_cell =
+  {
+    Sim_config.default with
+    n = 6;
+    seed = 23;
+    duration = 30.0;
+    shards = 2;
+    autotune = false;
+    sample_interval = 2.0;
+  }
+
 let cell_configs =
   List.concat_map
     (fun seed ->
@@ -89,6 +107,7 @@ let cell_configs =
           })
         [ Sim_config.No_gc; Sim_config.Local; Sim_config.Coordinated { period = 5.0 } ])
     [ 7; 19 ]
+  @ [ sharded_cell ]
 
 let run_cell cfg =
   let t = Runner.create cfg in
@@ -104,7 +123,7 @@ let test_parallel_cells_equal_sequential () =
   List.iter
     (fun jobs ->
       with_pool ~jobs (fun pool ->
-          let parallel = Domain_pool.map pool run_cell cell_configs in
+          let parallel = Barrier_team.map pool run_cell cell_configs in
           List.iteri
             (fun i ((s_seq, v_seq), (s_par, v_par)) ->
               Alcotest.(check bool)
@@ -139,7 +158,7 @@ let render_table results =
 let test_rendered_table_identical () =
   let seq = render_table (List.map run_cell cell_configs) in
   with_pool ~jobs:4 (fun pool ->
-      let par = render_table (Domain_pool.map pool run_cell cell_configs) in
+      let par = render_table (Barrier_team.map pool run_cell cell_configs) in
       Alcotest.(check string) "table text identical at -j 4" seq par)
 
 let suite =

@@ -115,8 +115,8 @@ let test_team_path_autotune_off () =
      regardless of the host's core count — on a narrow CI box this is the
      only configuration that exercises the persistent Barrier_team, the
      pooled cross-shard mailboxes and the window barriers (with autotuning
-     on, such a host dispatches the merged inline executor instead).  The
-     observable output must not budge. *)
+     on, such a host runs the rounds inline on the calling domain
+     instead).  The observable output must not budge. *)
   check_invariant ~autotune:false ~shard_counts:[ 1; 2; 4 ] "team path"
     {
       Sim_config.default with
