@@ -1,4 +1,4 @@
-.PHONY: all build test lint tsan-smoke bench figures eval micro smoke bench-json perf perf-smoke mt-gate fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
+.PHONY: all build test lint tsan-smoke bench figures eval micro smoke bench-json perf perf-smoke perfbench-smoke mt-gate fuzz-smoke live-smoke live-nemesis-smoke live-fuzz-nightly examples clean
 
 all: build
 
@@ -70,6 +70,24 @@ perf:
 
 # fast perf regression check: the incremental-CCP criterion only
 perf-smoke: smoke
+
+# whole-run paper checks (perfbench/README.md): ~3 s of every workload,
+# plus the traced replica on durable-cas, which must reproduce
+# Runner.summary field for field; fails unless the JSON on the last line
+# of every run reports "correct": true
+PERFBENCH_SMOKE = wide-n512:0 long-n64:0 durable-cas:0 durable-cas:1
+
+perfbench-smoke:
+	@for run in $(PERFBENCH_SMOKE); do \
+	  w=$${run%:*}; tr=$${run#*:}; \
+	  echo "perfbench-smoke: --workload $$w --trace $$tr"; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 \
+	    --trace $$tr) || exit 1; \
+	  printf '%s\n' "$$out"; \
+	  printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; \
+	    sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)' \
+	    || { echo "perfbench-smoke: $$w --trace $$tr: not correct"; exit 1; }; \
+	done
 
 # CI multicore gate: min-of-7 wall-clock race of the whole-run scaling
 # workload at shards=1 vs shards=4; exits 1 if sharding lost (DESIGN.md §13)

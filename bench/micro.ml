@@ -80,22 +80,23 @@ module Trace = Rdt_ccp.Trace
 module Figures = Rdt_scenarios.Figures
 module Script = Rdt_scenarios.Script
 module Session = Rdt_recovery.Session
+module Process_stack = Rdt_recovery.Process_stack
 module Table = Rdt_metrics.Table
 
-(* A middleware whose trace is muted, optionally with RDT-LGC attached,
-   plus a message generator that always carries one fresh dependency from
-   a fixed peer (the new-causal-info path of Algorithm 2). *)
-let receive_setup ~n ~with_lgc =
+(* One process stack whose trace is muted, optionally with RDT-LGC. *)
+let muted_stack ~n ~lgc =
   let trace = Trace.create ~n in
-  let mw = Middleware.create ~n ~me:0 ~protocol:Protocol.fdas ~trace () in
-  if with_lgc then begin
-    let lgc =
-      Rdt_lgc.create ~me:0 ~store:(Middleware.store mw)
-        ~dv:(Middleware.dv mw) ~n
-    in
-    Rdt_lgc.attach lgc mw
-  end;
+  let proc =
+    Process_stack.create ~n ~me:0 ~protocol:Protocol.fdas ~trace ~lgc ()
+  in
   Trace.set_recording trace false;
+  Process_stack.middleware proc
+
+(* The muted stack plus a message generator that always carries one fresh
+   dependency from a fixed peer (the new-causal-info path of
+   Algorithm 2). *)
+let receive_setup ~n ~with_lgc =
+  let mw = muted_stack ~n ~lgc:with_lgc in
   (* zero-allocation driver: one reusable message whose control borrows
      the generator's vector; each call advances the peer's interval so
      every receive still brings exactly one fresh dependency (the
@@ -131,13 +132,7 @@ let receive_tests =
 (* Checkpoint event with merged collection: the collector keeps the store
    bounded, so the loop is steady-state. *)
 let checkpoint_setup ~n =
-  let trace = Trace.create ~n in
-  let mw = Middleware.create ~n ~me:0 ~protocol:Protocol.fdas ~trace () in
-  let lgc =
-    Rdt_lgc.create ~me:0 ~store:(Middleware.store mw) ~dv:(Middleware.dv mw) ~n
-  in
-  Rdt_lgc.attach lgc mw;
-  Trace.set_recording trace false;
+  let mw = muted_stack ~n ~lgc:true in
   fun () -> Middleware.basic_checkpoint mw ~now:0.0
 
 let checkpoint_test ~n =

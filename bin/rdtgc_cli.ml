@@ -360,14 +360,10 @@ let do_store_stats dir =
   let pids =
     Sys.readdir dir |> Array.to_list
     |> List.filter_map (fun name ->
-           match int_of_string_opt (String.sub name 1 (String.length name - 1))
-           with
-           | Some pid
-             when String.length name > 1
-                  && name.[0] = 'p'
-                  && Sys.is_directory (Filename.concat dir name) ->
+           match Log_store.pid_of_dir_name name with
+           | Some pid when Sys.is_directory (Filename.concat dir name) ->
              Some pid
-           | _ | (exception Invalid_argument _) -> None)
+           | Some _ | None -> None)
     |> List.sort compare
   in
   if pids = [] then begin
@@ -389,64 +385,34 @@ let do_store_stats dir =
           ("reclaimed", Table.Right);
         ]
   in
-  let tot = ref None in
-  List.iter
-    (fun pid ->
-      let ls =
-        Log_store.create ~pid ~dir:(Filename.concat dir (Printf.sprintf "p%d" pid)) ()
-      in
-      let r = Log_store.recovery ls in
-      if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
-        Format.eprintf "p%d: scan dropped %d corrupt record(s), %d torn byte(s)@."
-          pid r.Log_store.records_dropped r.Log_store.torn_bytes;
-      let s = Log_store.stats ls in
-      Log_store.close ls;
-      Table.add_row table
-        [
-          Printf.sprintf "p%d" pid;
-          string_of_int s.Log_store.segments;
-          string_of_int s.Log_store.live_records;
-          string_of_int s.Log_store.live_bytes;
-          string_of_int s.Log_store.dead_bytes;
-          string_of_int s.Log_store.disk_bytes;
-          string_of_int s.Log_store.appended_records;
-          string_of_int s.Log_store.compactions;
-          string_of_int s.Log_store.bytes_reclaimed;
-        ];
-      tot :=
-        Some
-          (match !tot with
-          | None -> s
-          | Some (a : Log_store.stats) ->
-            {
-              a with
-              Log_store.segments = a.Log_store.segments + s.Log_store.segments;
-              live_records = a.Log_store.live_records + s.Log_store.live_records;
-              live_bytes = a.Log_store.live_bytes + s.Log_store.live_bytes;
-              dead_bytes = a.Log_store.dead_bytes + s.Log_store.dead_bytes;
-              disk_bytes = a.Log_store.disk_bytes + s.Log_store.disk_bytes;
-              appended_records =
-                a.Log_store.appended_records + s.Log_store.appended_records;
-              compactions = a.Log_store.compactions + s.Log_store.compactions;
-              bytes_reclaimed =
-                a.Log_store.bytes_reclaimed + s.Log_store.bytes_reclaimed;
-            }))
-    pids;
-  (match !tot with
-  | Some s when List.length pids > 1 ->
-    Table.add_row table
-      [
-        "total";
-        string_of_int s.Log_store.segments;
-        string_of_int s.Log_store.live_records;
-        string_of_int s.Log_store.live_bytes;
-        string_of_int s.Log_store.dead_bytes;
-        string_of_int s.Log_store.disk_bytes;
-        string_of_int s.Log_store.appended_records;
-        string_of_int s.Log_store.compactions;
-        string_of_int s.Log_store.bytes_reclaimed;
-      ]
-  | _ -> ());
+  (* the numeric columns, in table order *)
+  let columns (s : Log_store.stats) =
+    [ s.Log_store.segments; s.live_records; s.live_bytes; s.dead_bytes;
+      s.disk_bytes; s.appended_records; s.compactions; s.bytes_reclaimed ]
+  in
+  let add_row label cols =
+    Table.add_row table (label :: List.map string_of_int cols)
+  in
+  let per_pid =
+    List.map
+      (fun pid ->
+        let ls = Log_store.create ~pid ~dir:(Log_store.pid_dir dir pid) () in
+        let r = Log_store.recovery ls in
+        if r.Log_store.records_dropped > 0 || r.Log_store.torn_bytes > 0 then
+          Format.eprintf
+            "p%d: scan dropped %d corrupt record(s), %d torn byte(s)@." pid
+            r.Log_store.records_dropped r.Log_store.torn_bytes;
+        let s = Log_store.stats ls in
+        Log_store.close ls;
+        columns s)
+      pids
+  in
+  List.iter2 (fun pid cols -> add_row (Printf.sprintf "p%d" pid) cols) pids
+    per_pid;
+  (match per_pid with
+  | first :: (_ :: _ as rest) ->
+    add_row "total" (List.fold_left (List.map2 ( + )) first rest)
+  | [] | [ _ ] -> ());
   Table.print table
 
 let store_stats_cmd =

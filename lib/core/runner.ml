@@ -5,7 +5,7 @@ module Ccp = Rdt_ccp.Ccp
 module Middleware = Rdt_protocols.Middleware
 module Stable_store = Rdt_storage.Stable_store
 module Log_store = Rdt_store.Log_store
-module Rdt_lgc = Rdt_gc.Rdt_lgc
+module Process_stack = Rdt_recovery.Process_stack
 module Global_gc = Rdt_gc.Global_gc
 module Session = Rdt_recovery.Session
 module Workload = Rdt_workload.Workload
@@ -41,8 +41,7 @@ type t = {
   cfg : Sim_config.t;
   engine : Sim_msg.t Engine.t;
   trace : Trace.t;
-  middlewares : Middleware.t array;
-  collectors : Rdt_lgc.t option array;
+  procs : Process_stack.t array;
   log_stores : Log_store.t option array;
   workload : Workload.t;
   series_retained : Series.t array;
@@ -67,8 +66,8 @@ let config t = t.cfg
 let engine t = t.engine
 let now t = Engine.now t.engine
 let trace t = t.trace
-let middleware t pid = t.middlewares.(pid)
-let collector t pid = t.collectors.(pid)
+let middleware t pid = Process_stack.middleware t.procs.(pid)
+let collector t pid = Process_stack.collector t.procs.(pid)
 let ccp t =
   Trace.finalize t.trace;
   match t.ccp_incr with
@@ -93,13 +92,14 @@ let sync_stores t =
 let close_stores t =
   Array.iter (function Some ls -> Log_store.close ls | None -> ()) t.log_stores
 
-let snapshots t = Array.map Session.snapshot_of t.middlewares
+let snapshots t =
+  Array.map (fun p -> Session.snapshot_of (Process_stack.middleware p)) t.procs
 
 (* --- application activity ------------------------------------------- *)
 
 let app_send t ~src ~dst =
   let msg =
-    Middleware.prepare_send t.middlewares.(src) ~dst ~now:(Engine.now t.engine)
+    Middleware.prepare_send (middleware t src) ~dst ~now:(Engine.now t.engine)
   in
   Engine.send t.engine ~src ~dst (Sim_msg.App msg)
 
@@ -128,7 +128,7 @@ let rec arm_ckpt_timer t pid =
   ignore
     (Engine.schedule_in t.engine ~pin:pid ~delay (fun () ->
          if Engine.is_up t.engine pid then
-           Middleware.basic_checkpoint t.middlewares.(pid)
+           Middleware.basic_checkpoint (middleware t pid)
              ~now:(Engine.now t.engine);
          arm_ckpt_timer t pid))
 
@@ -159,7 +159,7 @@ let start_round t =
       (fun pid ->
         if pid = coordinator then
           t.rounds.replies <-
-            (pid, Session.snapshot_of t.middlewares.(pid)) :: t.rounds.replies
+            (pid, Session.snapshot_of (middleware t pid)) :: t.rounds.replies
         else control_send t ~src:coordinator ~dst:pid (Sim_msg.Gc_query { round }))
       up
   end
@@ -168,7 +168,7 @@ let start_round t =
    pinned to the coordinator's shard"]
 
 let apply_collect t pid indices =
-  let store = Middleware.store t.middlewares.(pid) in
+  let store = Process_stack.store t.procs.(pid) in
   List.iter
     (fun index ->
       (* the checkpoint may already be gone if a rollback truncated it *)
@@ -237,7 +237,7 @@ let rec arm_gc_timer t ~period =
 (* Lazy Theorem-2 collection: the same causal knowledge as RDT-LGC,
    recomputed per process from scratch on a timer (ablation). *)
 let lazy_local_collect t pid =
-  let mw = t.middlewares.(pid) in
+  let mw = middleware t pid in
   let store = Middleware.store mw in
   let entries = Array.of_list (Stable_store.retained store) in
   (* borrowed: [theorem2_collectable] only reads it during the call *)
@@ -275,12 +275,12 @@ let rec arm_oracle_timer t ~period =
 let handle_message t pid ~src msg =
   match msg with
   | Sim_msg.App m ->
-    Middleware.receive t.middlewares.(pid) m ~now:(Engine.now t.engine);
+    Middleware.receive (middleware t pid) m ~now:(Engine.now t.engine);
     reply_sends t pid ~src
   | Sim_msg.Gc_query { round } ->
     control_send t ~src:pid ~dst:coordinator
       (Sim_msg.Gc_reply
-         { round; pid; snapshot = Session.snapshot_of t.middlewares.(pid) })
+         { round; pid; snapshot = Session.snapshot_of (middleware t pid) })
   | Sim_msg.Gc_reply { round; pid = replier; snapshot } ->
     on_gc_reply t ~round ~pid:replier snapshot
   | Sim_msg.Gc_collect { round = _; indices } -> apply_collect t pid indices
@@ -301,14 +301,9 @@ let recover t pid =
        discarded (the CCP excludes lost and in-transit messages) *)
     Engine.flush_in_flight t.engine;
     t.rounds.open_round <- None;
-    let release_outdated p ~li =
-      match t.collectors.(p) with
-      | Some lgc -> Rdt_lgc.release_outdated lgc ~li
-      | None -> ()
-    in
     let report =
-      Session.run ~middlewares:t.middlewares ~faulty
-        ~knowledge:t.cfg.Sim_config.knowledge ~release_outdated
+      Process_stack.session t.procs ~faulty
+        ~knowledge:t.cfg.Sim_config.knowledge
     in
     t.recoveries <- report :: t.recoveries
 
@@ -318,11 +313,11 @@ let sample t =
   let time = Engine.now t.engine in
   let total = ref 0 in
   Array.iteri
-    (fun pid mw ->
-      let count = Stable_store.count (Middleware.store mw) in
+    (fun pid proc ->
+      let count = Stable_store.count (Process_stack.store proc) in
       total := !total + count;
       Series.add_int t.series_retained.(pid) ~time ~value:count)
-    t.middlewares;
+    t.procs;
   Series.add_int t.series_total ~time ~value:!total;
   if durable t then begin
     let live = ref 0 and dead = ref 0 in
@@ -388,9 +383,7 @@ let create (cfg : Sim_config.t) =
         | Sim_config.Memory -> None
         | Sim_config.Durable { dir; config } ->
           let ls =
-            Log_store.create ~config ~pid:me
-              ~dir:(Filename.concat dir (Printf.sprintf "p%d" me))
-              ()
+            Log_store.create ~config ~pid:me ~dir:(Log_store.pid_dir dir me) ()
           in
           if not (List.is_empty (Log_store.recovery ls).Log_store.recovered)
           then
@@ -402,33 +395,14 @@ let create (cfg : Sim_config.t) =
                  dir);
           Some ls)
   in
-  let middlewares =
+  let lgc = match cfg.gc with Sim_config.Local -> true | _ -> false in
+  (* every log store is opened above, before any stack stores its s^0 *)
+  let procs =
     init_by_shard (fun me ->
-        let store =
-          match log_stores.(me) with
-          | None -> None
-          | Some ls ->
-            let store = Stable_store.create ~me in
-            Stable_store.set_backend store (Log_store.backend ls);
-            Some store
-        in
-        Middleware.create ~n:cfg.n ~me ~protocol:cfg.protocol ~trace
-          ~ckpt_bytes:cfg.ckpt_bytes ?store ())
-  in
-  let collectors =
-    init_by_shard (fun me ->
-        match cfg.gc with
-        | Sim_config.Local ->
-          let mw = middlewares.(me) in
-          let lgc =
-            Rdt_lgc.create ~me ~store:(Middleware.store mw)
-              ~dv:(Middleware.dv mw) ~n:cfg.n
-          in
-          Rdt_lgc.attach lgc mw;
-          Some lgc
-        | Sim_config.No_gc | Sim_config.Local_lazy _ | Sim_config.Coordinated _
-        | Sim_config.Simple _ | Sim_config.Oracle_periodic _ ->
-          None)
+        Process_stack.create ~n:cfg.n ~me ~protocol:cfg.protocol ~trace
+          ~ckpt_bytes:cfg.ckpt_bytes
+          ?backend:(Option.map Log_store.backend log_stores.(me))
+          ~lgc ())
   in
   let workload =
     Workload.create cfg.workload ~n:cfg.n
@@ -440,8 +414,7 @@ let create (cfg : Sim_config.t) =
       cfg;
       engine;
       trace;
-      middlewares;
-      collectors;
+      procs;
       log_stores;
       workload;
       series_retained =
@@ -526,7 +499,8 @@ type summary = {
 }
 
 let summary t =
-  let stores = Array.map Middleware.store t.middlewares in
+  let mws = Array.map Process_stack.middleware t.procs in
+  let stores = Array.map Middleware.store mws in
   let store_stats = Array.map Stable_store.stats stores in
   let sum f = Array.fold_left (fun acc x -> acc + f x) 0 in
   let engine_stats = Engine.stats t.engine in
@@ -540,8 +514,8 @@ let summary t =
     duration = t.cfg.Sim_config.duration;
     protocol = t.cfg.Sim_config.protocol.Rdt_protocols.Protocol.id;
     gc = Sim_config.gc_policy_name t.cfg.Sim_config.gc;
-    basic_checkpoints = sum Middleware.basic_count t.middlewares;
-    forced_checkpoints = sum Middleware.forced_count t.middlewares;
+    basic_checkpoints = sum Middleware.basic_count mws;
+    forced_checkpoints = sum Middleware.forced_count mws;
     stored_total =
       sum (fun (s : Stable_store.stats) -> s.stored_total) store_stats;
     eliminated_total =

@@ -112,8 +112,6 @@ let hooks t =
     on_rollback = (fun ~li -> on_rollback t ~li);
   }
 
-let attach t mw = Middleware.set_hooks mw (hooks t)
-
 let uc_view t = Array.map (Option.map (fun ccb -> ccb.ind)) t.uc
 
 let retained_because_of t f = Option.map (fun ccb -> ccb.ind) t.uc.(f)

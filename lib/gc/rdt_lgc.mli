@@ -53,10 +53,6 @@ val restore :
     before any other hook fires.
     @raise Invalid_argument if [store] is empty. *)
 
-val attach : t -> Rdt_protocols.Middleware.t -> unit
-(** Install this collector's {!hooks} on the middleware.  The middleware
-    must be freshly created (only [s^0] taken). *)
-
 val hooks : t -> Rdt_protocols.Middleware.hooks
 
 val on_new_dependency : t -> int -> unit

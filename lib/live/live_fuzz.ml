@@ -157,7 +157,7 @@ let replay_corpus ~backend ~run_root ?timeout ~log dir =
   end
 
 let save_failure ~log ~dir ~sub_seed ~nemesis sc shrunk =
-  Harness.mkdir_p dir;
+  Rdt_store.Log_store.mkdir_p dir;
   let base = Printf.sprintf "seed-%x" sub_seed in
   Scenario.save sc (Filename.concat dir (base ^ ".scn"));
   let oc = open_out (Filename.concat dir (base ^ ".nms")) in
@@ -189,7 +189,7 @@ let with_mutation enabled f =
 let campaign ?(backend = Sim) ?(shrink = true) ?corpus ?(log = fun _ -> ())
     ?timeout ?(mutate_deliver = false) ~seed ~runs ~max_procs ~root () =
   Harness.rm_rf root;
-  Harness.mkdir_p root;
+  Rdt_store.Log_store.mkdir_p root;
   with_mutation mutate_deliver @@ fun () ->
   let run_root = Filename.concat root "run" in
   let corpus_replayed, corpus_failed =

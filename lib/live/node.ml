@@ -30,16 +30,10 @@ module Protocol = Rdt_protocols.Protocol
 module Middleware = Rdt_protocols.Middleware
 module Control = Rdt_protocols.Control
 module Rdt_lgc = Rdt_gc.Rdt_lgc
+module Process_stack = Rdt_recovery.Process_stack
 module Harness = Rdt_verify.Harness
 
-type sys = {
-  n : int;
-  mw : Middleware.t;
-  lgc : Rdt_lgc.t;
-  store : Stable_store.t;
-  log : Log_store.t;
-  trace : Trace.t;
-}
+type sys = { proc : Process_stack.t; log : Log_store.t }
 
 type armed = { a_seq : int; a_now : float; a_src : int; a_msg_id : int }
 
@@ -94,12 +88,15 @@ let drain t =
   t.events <- [];
   evs
 
+let mw sys = Process_stack.middleware sys.proc
+let store sys = Process_stack.store sys.proc
+
 let state_of sys =
   {
-    Wire.st_dv = Dependency_vector.to_array (Middleware.dv sys.mw);
-    st_uc = Rdt_lgc.uc_view sys.lgc;
-    st_retained = Array.of_list (Stable_store.retained_indices sys.store);
-    st_app = Middleware.app_state sys.mw;
+    Wire.st_dv = Dependency_vector.to_array (Middleware.dv (mw sys));
+    st_uc = Rdt_lgc.uc_view (Option.get (Process_stack.collector sys.proc));
+    st_retained = Array.of_list (Stable_store.retained_indices (store sys));
+    st_app = Middleware.app_state (mw sys);
   }
 
 let reply t ~seq reply =
@@ -128,28 +125,17 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
   let dir = store_dir t in
   let trace = Trace.create ~n in
   let log = Log_store.create ~config:Harness.log_config ~pid:t.me ~dir () in
-  let sys =
-    if List.is_empty history then begin
+  let backend = Log_store.backend log in
+  let proc =
+    if List.is_empty history then
       (* fresh start: the middleware stores s^0 through the durable
          backend, exactly like the simulator's bootstrap *)
-      let store = Stable_store.create ~me:t.me in
-      Stable_store.set_backend store (Log_store.backend log);
-      let mw =
-        Middleware.create ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~store ()
-      in
-      let lgc =
-        Rdt_lgc.create ~me:t.me ~store ~dv:(Middleware.dv mw) ~n
-      in
-      Rdt_lgc.attach lgc mw;
-      { n; mw; lgc; store; log; trace }
-    end
+      Process_stack.create ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~backend
+        ~lgc:true ()
     else begin
       (* respawn after a kill: volatile state is rebuilt from what the
          durable log recovered plus the coordinator's transcript of our
          own pre-crash events *)
-      let recovered = (Log_store.recovery log).Log_store.recovered in
-      let store = Stable_store.restore ~me:t.me ~entries:recovered in
-      Stable_store.set_backend store (Log_store.backend log);
       List.iter
         (fun ev ->
           match (ev : Wire.tev) with
@@ -162,27 +148,23 @@ let boot t ~n ~protocol ~ckpt_bytes ~epoch ~(history : Wire.tev list)
       (* ids are monotone across rollbacks: restore the counter past the
          sends the erased history performed *)
       Trace.restore_msg_ids trace ~pid:t.me ~count:sends_ever;
-      let mw =
-        Middleware.restore ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~store ()
-      in
-      let lgc = Rdt_lgc.restore ~me:t.me ~store ~dv:(Middleware.dv mw) ~n in
-      Rdt_lgc.attach lgc mw;
-      { n; mw; lgc; store; log; trace }
+      Process_stack.restore ~n ~me:t.me ~protocol ~trace ~ckpt_bytes ~backend
+        ~lgc:true ~entries:(Log_store.recovery log).Log_store.recovered ()
     end
   in
   (* subscribe only now: neither the s^0 bootstrap nor the history replay
      is a new event as far as the coordinator's transcript is concerned *)
   Trace.on_event trace (fun ev -> t.events <- tev_of ev :: t.events);
-  t.sys <- Some sys
+  t.sys <- Some { proc; log }
 
 (* --- delivery ---------------------------------------------------------- *)
 
 let do_deliver sys ~now ~src ~msg_id ~dv ~index =
-  Middleware.receive sys.mw
+  Middleware.receive (mw sys)
     { Middleware.msg_id; src; control = Control.make ~dv ~index }
     ~now;
   if !test_dup_deliver then
-    Middleware.receive sys.mw
+    Middleware.receive (mw sys)
       { Middleware.msg_id; src; control = Control.make ~dv ~index }
       ~now
 
@@ -208,11 +190,11 @@ let handle_cmd t ~seq ~now cmd =
   match (cmd : Wire.cmd) with
   | C_checkpoint ->
     let sys = sys_exn t in
-    Middleware.basic_checkpoint sys.mw ~now;
+    Middleware.basic_checkpoint (mw sys) ~now;
     reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
   | C_send { dst } ->
     let sys = sys_exn t in
-    let m = Middleware.prepare_send sys.mw ~dst ~now in
+    let m = Middleware.prepare_send (mw sys) ~dst ~now in
     Transport.send t.tr ~dst
       (Wire.App
          {
@@ -255,17 +237,17 @@ let handle_cmd t ~seq ~now cmd =
     reply t ~seq
       (Wire.R_snapshot
          {
-           entries = Stable_store.retained sys.store;
-           live_dv = Dependency_vector.to_array (Middleware.dv sys.mw);
-           last = Stable_store.last_index sys.store;
+           entries = Stable_store.retained (store sys);
+           live_dv = Dependency_vector.to_array (Middleware.dv (mw sys));
+           last = Stable_store.last_index (store sys);
          })
   | C_rollback { to_index; li } ->
     let sys = sys_exn t in
-    Middleware.rollback sys.mw ~to_index ~li;
+    Middleware.rollback (mw sys) ~to_index ~li;
     reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
   | C_release { li } ->
     let sys = sys_exn t in
-    Rdt_lgc.release_outdated sys.lgc ~li;
+    Process_stack.release_outdated sys.proc ~li;
     reply t ~seq (Wire.R_done { events = drain t; state = state_of sys })
   | C_state ->
     let sys = sys_exn t in
@@ -356,7 +338,7 @@ let handle t (ev : Transport.event) =
 
 let create ~transport ~dir () =
   let me = Transport.me transport in
-  Harness.mkdir_p dir;
+  Log_store.mkdir_p dir;
   (match Sys.getenv_opt "RDTGC_TEST_DUP_DELIVER" with
   | Some "1" -> test_dup_deliver := true
   | _ -> ());

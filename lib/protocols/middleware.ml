@@ -67,15 +67,9 @@ let take_checkpoint t ~kind ~now =
   | Basic -> t.basic_count <- t.basic_count + 1
   | Forced -> t.forced_count <- t.forced_count + 1
 
-let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ?store () =
-  let store =
-    match store with
-    | None -> Stable_store.create ~me
-    | Some s ->
-      if Stable_store.count s <> 0 then
-        invalid_arg "Middleware.create: supplied store must be empty";
-      s
-  in
+let create ~n ~me ~protocol ~trace ?(ckpt_bytes = 1) ~store () =
+  if Stable_store.count store <> 0 then
+    invalid_arg "Middleware.create: supplied store must be empty";
   let t =
     {
       n;

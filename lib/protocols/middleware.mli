@@ -48,20 +48,16 @@ val create :
   protocol:Protocol.t ->
   trace:Rdt_ccp.Trace.t ->
   ?ckpt_bytes:int ->
-  ?store:Rdt_storage.Stable_store.t ->
+  store:Rdt_storage.Stable_store.t ->
   unit ->
   t
-(** Creates the middleware and immediately stores the initial checkpoint
-    [s^0] (every process starts by storing a stable checkpoint).  Hooks
-    can be attached with {!set_hooks}; attach them before any activity if
-    the collector must see [s^0] — {!Rdt_gc.Rdt_lgc} provides
-    reinitialization for exactly this bootstrap (its [create] scans the
-    store).
-
-    [?store] supplies a pre-built (empty) stable store — the runner uses
-    this to hand in a store whose durability backend is a
-    [Rdt_store.Log_store], so [s^0] and everything after it also hit the
-    disk.  Default: a fresh in-memory store. *)
+(** Creates the middleware over the empty [store] and immediately stores
+    the initial checkpoint [s^0] (every process starts by storing a stable
+    checkpoint), through [store]'s durability backend if one is attached.
+    Hooks attached afterwards with {!set_hooks} miss [s^0]:
+    {!Rdt_gc.Rdt_lgc.create} scans the store for exactly this bootstrap,
+    and [Rdt_recovery.Process_stack] composes the two.
+    @raise Invalid_argument if [store] is not empty. *)
 
 val restore :
   n:int ->

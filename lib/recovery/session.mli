@@ -58,8 +58,8 @@ val run :
   report
 (** Run a recovery session.  [release_outdated pid ~li] is called for
     every process that did not roll back when global knowledge is
-    disseminated (wire it to {!Rdt_gc.Rdt_lgc.release_outdated}, or pass
-    a no-op for other collectors).  Rollbacks themselves go through
+    disseminated ({!Process_stack.session} supplies
+    {!Process_stack.release_outdated}).  Rollbacks themselves go through
     {!Rdt_protocols.Middleware.rollback}, which fires the collector's
     [on_rollback] hook. *)
 

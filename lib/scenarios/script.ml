@@ -1,10 +1,10 @@
 module Middleware = Rdt_protocols.Middleware
 module Rdt_lgc = Rdt_gc.Rdt_lgc
+module Process_stack = Rdt_recovery.Process_stack
 module Stable_store = Rdt_storage.Stable_store
 module Dependency_vector = Rdt_causality.Dependency_vector
 module Trace = Rdt_ccp.Trace
 module Ccp = Rdt_ccp.Ccp
-module Session = Rdt_recovery.Session
 
 type msg = {
   payload : Middleware.message;
@@ -16,39 +16,24 @@ type msg = {
 type t = {
   n : int;
   trace : Trace.t;
-  middlewares : Middleware.t array;
-  collectors : Rdt_lgc.t option array;
-  knowledge : Session.knowledge;
+  procs : Process_stack.t array;
+  knowledge : Rdt_recovery.Session.knowledge;
   mutable in_flight : msg list;
   mutable crashes : int;
   mutable clock : float;
 }
 
-let create ?(knowledge = `Global) ?store_of ~n ~protocol ~with_lgc () =
+let create ?(knowledge = `Global) ?backend_of ~n ~protocol ~with_lgc () =
   let trace = Trace.create ~n in
-  let middlewares =
+  let procs =
     Array.init n (fun me ->
-        let store = Option.map (fun f -> f ~me) store_of in
-        Middleware.create ~n ~me ~protocol ~trace ?store ())
-  in
-  let collectors =
-    Array.init n (fun me ->
-        if with_lgc then begin
-          let mw = middlewares.(me) in
-          let lgc =
-            Rdt_lgc.create ~me ~store:(Middleware.store mw)
-              ~dv:(Middleware.dv mw) ~n
-          in
-          Rdt_lgc.attach lgc mw;
-          Some lgc
-        end
-        else None)
+        let backend = Option.map (fun f -> f ~me) backend_of in
+        Process_stack.create ~n ~me ~protocol ~trace ?backend ~lgc:with_lgc ())
   in
   {
     n;
     trace;
-    middlewares;
-    collectors;
+    procs;
     knowledge;
     in_flight = [];
     crashes = 0;
@@ -56,16 +41,17 @@ let create ?(knowledge = `Global) ?store_of ~n ~protocol ~with_lgc () =
   }
 
 let n t = t.n
+let middleware t pid = Process_stack.middleware t.procs.(pid)
 
 let tick t =
   t.clock <- t.clock +. 1.0;
   t.clock
 
 let checkpoint t pid =
-  Middleware.basic_checkpoint t.middlewares.(pid) ~now:(tick t)
+  Middleware.basic_checkpoint (middleware t pid) ~now:(tick t)
 
 let send t ~src ~dst =
-  let payload = Middleware.prepare_send t.middlewares.(src) ~dst ~now:(tick t) in
+  let payload = Middleware.prepare_send (middleware t src) ~dst ~now:(tick t) in
   let m = { payload; dst; delivered = false; dead = false } in
   t.in_flight <- m :: t.in_flight;
   m
@@ -78,7 +64,7 @@ let deliver t msg =
     invalid_arg "Script.deliver: message was lost (dropped or crash-flushed)";
   msg.delivered <- true;
   forget t msg;
-  Middleware.receive t.middlewares.(msg.dst) msg.payload ~now:(tick t)
+  Middleware.receive (middleware t msg.dst) msg.payload ~now:(tick t)
 
 let transfer t ~src ~dst = deliver t (send t ~src ~dst)
 
@@ -102,27 +88,20 @@ let crash t ~faulty =
   List.iter (fun m -> m.dead <- true) t.in_flight;
   t.in_flight <- [];
   t.crashes <- t.crashes + 1;
-  let release_outdated pid ~li =
-    match t.collectors.(pid) with
-    | Some lgc -> Rdt_lgc.release_outdated lgc ~li
-    | None -> ()
-  in
-  Session.run ~middlewares:t.middlewares ~faulty ~knowledge:t.knowledge
-    ~release_outdated
+  Process_stack.session t.procs ~faulty ~knowledge:t.knowledge
 
 let crash_count t = t.crashes
 let knowledge t = t.knowledge
-let middleware t pid = t.middlewares.(pid)
-let collector t pid = t.collectors.(pid)
-let store t pid = Middleware.store t.middlewares.(pid)
-let dv t pid = Dependency_vector.to_array (Middleware.dv t.middlewares.(pid))
+let collector t pid = Process_stack.collector t.procs.(pid)
+let store t pid = Process_stack.store t.procs.(pid)
+let dv t pid = Dependency_vector.to_array (Middleware.dv (middleware t pid))
 
 let uc t pid =
-  match t.collectors.(pid) with
+  match collector t pid with
   | Some lgc -> Rdt_lgc.uc_view lgc
   | None -> invalid_arg "Script.uc: no collector attached"
 
 let retained t pid = Stable_store.retained_indices (store t pid)
 let trace t = t.trace
 let ccp t = Ccp.of_trace t.trace
-let forced_taken t pid = Middleware.forced_count t.middlewares.(pid)
+let forced_taken t pid = Middleware.forced_count (middleware t pid)

@@ -12,18 +12,18 @@ type t
 
 val create :
   ?knowledge:Rdt_recovery.Session.knowledge ->
-  ?store_of:(me:int -> Rdt_storage.Stable_store.t) ->
+  ?backend_of:(me:int -> Rdt_storage.Stable_store.backend) ->
   n:int ->
   protocol:Rdt_protocols.Protocol.t ->
   with_lgc:bool ->
   unit ->
   t
-(** Fresh system; every process has stored its initial checkpoint and,
-    when [with_lgc], has an attached RDT-LGC collector.  [knowledge]
-    (default [`Global]) selects the recovery-session mode used by
-    {!crash}.  [store_of] supplies pre-built (empty) stable stores — e.g.
-    ones whose durability backend is a {!Rdt_store.Log_store} — one per
-    process; default: fresh in-memory stores. *)
+(** Fresh system of {!Rdt_recovery.Process_stack}s: every process has
+    stored its initial checkpoint and, when [with_lgc], has an attached
+    RDT-LGC collector.  [knowledge] (default [`Global]) selects the
+    recovery-session mode used by {!crash}.  [backend_of ~me] supplies
+    process [me]'s durability backend (e.g. {!Rdt_store.Log_store.backend}),
+    which sees [s^0] too; default: in-memory stores only. *)
 
 val n : t -> int
 
@@ -52,10 +52,10 @@ val alive : t -> msg -> bool
 
 val crash : t -> faulty:int list -> Rdt_recovery.Session.report
 (** Stop-world crash of [faulty] followed immediately by a centralized
-    recovery session ({!Rdt_recovery.Session.run}) in the script's
-    knowledge mode.  Every message still in flight is discarded first (the
-    CCP excludes lost and in-transit messages); delivering one of them
-    afterwards raises.
+    recovery session ({!Rdt_recovery.Process_stack.session}) in the
+    script's knowledge mode.  Every message still in flight is discarded
+    first (the CCP excludes lost and in-transit messages); delivering one
+    of them afterwards raises.
     @raise Invalid_argument on an empty or out-of-range faulty set. *)
 
 val crash_count : t -> int

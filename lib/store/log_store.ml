@@ -88,6 +88,17 @@ let rec mkdir_p path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
+let pid_dir root pid = Filename.concat root ("p" ^ string_of_int pid)
+
+let pid_of_dir_name name =
+  let len = String.length name in
+  if len < 2 || name.[0] <> 'p' || (len > 2 && name.[1] = '0') then None
+  else
+    let digits = String.sub name 1 (len - 1) in
+    if String.for_all (function '0' .. '9' -> true | _ -> false) digits then
+      int_of_string_opt digits
+    else None
+
 (* --- recovery scan ----------------------------------------------------- *)
 
 let kill t rec_ =

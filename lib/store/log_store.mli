@@ -54,6 +54,16 @@ val default_config : config
 
 type t
 
+val pid_dir : string -> int -> string
+(** [pid_dir root pid] = [root/p<pid>], process [pid]'s directory in a
+    multi-process run. *)
+
+val pid_of_dir_name : string -> int option
+(** Inverse of {!pid_dir} on canonical names only: [p01], [p+1] are
+    [None], so [pid_dir root pid] reopens exactly the directory scanned. *)
+
+val mkdir_p : string -> unit
+
 val create : ?config:config -> ?faults:Fault.t -> pid:int -> dir:string -> unit -> t
 (** Open (creating the directory if needed) and recover whatever it
     holds.  Opening never writes: a pure stats/recovery inspection leaves
@@ -104,9 +114,9 @@ val close : t -> unit
     only writes if the store mutated since opening. *)
 
 val backend : t -> Stable_store.backend
-(** Mirror for {!Rdt_storage.Stable_store.create} — the wiring that lets
-    {!Rdt_core.Runner} run the durable backend behind the unchanged
-    [Stable_store] interface. *)
+(** Mirror for a {!Rdt_storage.Stable_store.t} (handed to
+    [Rdt_recovery.Process_stack]), so the durable backend runs behind the
+    unchanged [Stable_store] interface. *)
 
 (* Observation: *)
 

@@ -48,7 +48,7 @@ let replay_corpus ~mutate_lgc ~log ?scratch_dir dir =
   end
 
 let save_failure ~log ~dir ~sub_seed sc shrunk =
-  Harness.mkdir_p dir;
+  Rdt_store.Log_store.mkdir_p dir;
   let base = Printf.sprintf "seed-%x" sub_seed in
   Scenario.save sc (Filename.concat dir (base ^ ".scn"));
   log (Printf.sprintf "saved %s.scn" base);

@@ -27,13 +27,6 @@ let rec rm_rf path =
     Unix.rmdir path
   | _ -> Sys.remove path
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let default_scratch () =
   Filename.concat
     (Filename.get_temp_dir_name ())
@@ -140,14 +133,14 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
   in
   let log_stores = Array.make sc.n None in
   let shadows = Array.make sc.n None in
-  let store_of =
+  let backend_of =
     if not sc.durable then None
     else begin
       rm_rf root;
-      mkdir_p root;
+      Log_store.mkdir_p root;
       Some
         (fun ~me ->
-          let dir = Filename.concat root ("p" ^ string_of_int me) in
+          let dir = Log_store.pid_dir root me in
           let faults =
             match sc.store_fault with
             | Some f when f.fault_pid = me ->
@@ -158,11 +151,9 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
           in
           let ls = Log_store.create ~config:log_config ?faults ~pid:me ~dir () in
           log_stores.(me) <- Some ls;
-          let st = Stable_store.create ~me in
           let sh = { prev = []; cur = []; ever = Hashtbl.create 16 } in
           shadows.(me) <- Some sh;
-          Stable_store.set_backend st (wrap_backend sh (Log_store.backend ls));
-          st)
+          wrap_backend sh (Log_store.backend ls))
     end
   in
   (* After [Fault.Injected_crash] the faulted instance is poisoned and
@@ -173,7 +164,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
     let pid = f.Scenario.fault_pid in
     let sh = Option.get shadows.(pid) in
     log_stores.(pid) <- None (* poisoned; the directory is the truth now *);
-    let dir = Filename.concat root ("p" ^ string_of_int pid) in
+    let dir = Log_store.pid_dir root pid in
     let reopened = Log_store.create ~config:log_config ~pid ~dir () in
     let recovered = (Log_store.recovery reopened).Log_store.recovered in
     Log_store.close reopened;
@@ -222,7 +213,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
   match
     (* store faults can fire while [Script.create] stores the initial
        checkpoints *)
-    try Ok (Script.create ~knowledge:sc.knowledge ?store_of ~n:sc.n
+    try Ok (Script.create ~knowledge:sc.knowledge ?backend_of ~n:sc.n
               ~protocol:sc.protocol ~with_lgc:true ())
     with e -> Error e
   with
@@ -307,7 +298,7 @@ let run ?(mutate_lgc = false) ?scratch_dir ?observe (scenario : Scenario.t) =
            | Some ls ->
              Log_store.close ls;
              log_stores.(pid) <- None;
-             let dir = Filename.concat root ("p" ^ string_of_int pid) in
+             let dir = Log_store.pid_dir root pid in
              let reopened = Log_store.create ~config:log_config ~pid ~dir () in
              let recovered = (Log_store.recovery reopened).Log_store.recovered in
              Log_store.close reopened;

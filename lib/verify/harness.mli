@@ -60,5 +60,3 @@ val set_eq : Rdt_storage.Stable_store.entry list -> Rdt_storage.Stable_store.ent
 
 val rm_rf : string -> unit
 (** Recursive delete, shared with the fuzz driver and tests. *)
-
-val mkdir_p : string -> unit

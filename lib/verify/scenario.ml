@@ -484,7 +484,7 @@ let to_script_ml sc =
   pf "(* Reproducer emitted by the differential fuzzer (seed 0x%x).\n" sc.seed;
   pf "   Replays a shrunk scenario through Rdt_scenarios.Script%s. *)\n"
     (if sc.durable then
-       " — in-memory\n   stores; attach a Log_store backend via ~store_of to re-add durability"
+       " — in-memory\n   stores; pass a Log_store backend via ~backend_of to re-add durability"
      else "");
   pf "let scenario () =\n";
   pf "  let protocol =\n";

@@ -99,7 +99,8 @@ let test_archive_after_rollback () =
   let trace = Rdt_ccp.Trace.create ~n:2 in
   let mw =
     Rdt_protocols.Middleware.create ~n:2 ~me:0
-      ~protocol:Rdt_protocols.Protocol.fdas ~trace ()
+      ~protocol:Rdt_protocols.Protocol.fdas ~trace
+      ~store:(Rdt_storage.Stable_store.create ~me:0) ()
   in
   for i = 1 to 4 do
     Rdt_protocols.Middleware.basic_checkpoint mw ~now:(float_of_int i)

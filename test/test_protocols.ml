@@ -113,7 +113,10 @@ let test_by_id () =
 
 let test_middleware_initialization () =
   let trace = Trace.create ~n:2 in
-  let mw = Middleware.create ~n:2 ~me:0 ~protocol:Protocol.fdas ~trace () in
+  let mw =
+    Middleware.create ~n:2 ~me:0 ~protocol:Protocol.fdas ~trace
+      ~store:(Stable_store.create ~me:0) ()
+  in
   Alcotest.(check int) "s0 stored" 0
     (Stable_store.last_index (Middleware.store mw));
   Alcotest.(check int) "current interval 1" 1 (Middleware.current_interval mw);

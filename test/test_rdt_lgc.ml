@@ -236,18 +236,23 @@ let test_oracle_comparison_at_quiescence () =
      the time the event returns. *)
   let n = 2 in
   let mid_counts = ref [] in
-  let store_of ~me =
-    let st = Stable_store.create ~me in
-    Stable_store.set_backend st
-      {
-        Stable_store.b_store =
-          (fun _ -> mid_counts := Stable_store.count st :: !mid_counts);
-        b_eliminate = (fun _ -> ());
-        b_truncate_above = (fun ~index:_ -> ());
-      };
-    st
+  (* the backend sees every mutation after the store applied it, so the
+     live entries it counts are the store's count at that moment *)
+  let backend_of ~me:_ =
+    let live = ref 0 in
+    {
+      Stable_store.b_store =
+        (fun _ ->
+          incr live;
+          mid_counts := !live :: !mid_counts);
+      b_eliminate = (fun _ -> decr live);
+      b_truncate_above =
+        (fun ~index:_ -> Alcotest.fail "this script never rolls back");
+    }
   in
-  let s = Script.create ~store_of ~n ~protocol:Protocol.fdas ~with_lgc:true () in
+  let s =
+    Script.create ~backend_of ~n ~protocol:Protocol.fdas ~with_lgc:true ()
+  in
   Script.transfer s ~src:1 ~dst:0 (* p0 pins s^0 because of p1's interval *);
   Script.checkpoint s 0 (* retained {0,1} = n *);
   Script.checkpoint s 0 (* mid-store n+1; quiescent again by return *);

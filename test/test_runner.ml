@@ -325,6 +325,78 @@ let test_validation_rejects_bad_configs () =
            ];
        })
 
+(* --- cross-commit golden digests --------------------------------------- *)
+
+(* Shard invariance compares shard counts within one build; these pin a
+   digest of the printed summary plus the saved trace across builds, so a
+   refactor of the per-process wiring that changes any observable result
+   of any collector fails here.  Regenerate only for an intended
+   behaviour change. *)
+
+let golden_digest r =
+  let summary = Fmt.str "%a" Runner.pp_summary (Runner.summary r) in
+  let path = Filename.temp_file "rdtgc_golden" ".trace" in
+  let trace =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Rdt_ccp.Trace.save (Runner.trace r) path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  Digest.to_hex (Digest.string (summary ^ "\n" ^ trace))
+
+let golden_cfg =
+  { Sim_config.default with n = 6; seed = 5; duration = 40.0; shards = 2 }
+
+let golden_gc =
+  Sim_config.
+    [
+      (No_gc, "9a88f8b1f9bd7f5c96d37f61fe678cc5");
+      (Local, "62c220ed3fd1ec8e7ec6b1d94851a3e2");
+      (Local_lazy { period = 4.0 }, "b6ba79687d4c8b83a3bf58e894e5a2e9");
+      (Coordinated { period = 5.0 }, "1990fc2ba9a9a4560ec18e3d43e4e7fe");
+      (Simple { period = 5.0 }, "a923ce414551eb965140546ac601fdf9");
+      (Oracle_periodic { period = 5.0 }, "44fd29bf2b4f63bef607f0e242c38ca9");
+    ]
+
+let test_golden_gc_policies () =
+  List.iter
+    (fun (gc, expected) ->
+      let r = run { golden_cfg with gc } in
+      Alcotest.(check string)
+        (Sim_config.gc_policy_name gc)
+        expected (golden_digest r))
+    golden_gc
+
+let test_golden_durable_cas () =
+  let dir = Filename.temp_dir "rdtgc_golden" "" in
+  Fun.protect
+    ~finally:(fun () -> Rdt_verify.Harness.rm_rf dir)
+    (fun () ->
+      let r =
+        run
+          {
+            Sim_config.default with
+            n = 5;
+            seed = 9;
+            duration = 60.0;
+            protocol = Protocol.cas;
+            ckpt_bytes = 64;
+            faults =
+              [
+                { Sim_config.crash_at = 18.0; pid = 1; repair_after = 3.0 };
+                { Sim_config.crash_at = 41.0; pid = 3; repair_after = 2.0 };
+              ];
+            store =
+              Sim_config.Durable
+                { dir; config = Rdt_store.Log_store.default_config };
+          }
+      in
+      let digest = golden_digest r in
+      Runner.close_stores r;
+      Alcotest.(check string) "durable cas + rdt-lgc"
+        "e208d8be0f406123b019f1a03facd9a5" digest)
+
 let suite =
   [
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
@@ -367,4 +439,8 @@ let suite =
     Alcotest.test_case "summary accounting" `Quick test_summary_accounting;
     Alcotest.test_case "config validation" `Quick
       test_validation_rejects_bad_configs;
+    Alcotest.test_case "golden digests: every gc policy" `Quick
+      test_golden_gc_policies;
+    Alcotest.test_case "golden digest: durable cas with crashes" `Quick
+      test_golden_durable_cas;
   ]

@@ -191,7 +191,7 @@ let run_until_crash ~seed ~fsync =
            Rdt_lgc.create ~me ~store:(Middleware.store mw)
              ~dv:(Middleware.dv mw) ~n
          in
-         Rdt_lgc.attach lgc mw)
+         Middleware.set_hooks mw (Rdt_lgc.hooks lgc))
        arr;
      mws := Some arr;
      let prng = Prng.create ~seed:(seed + 7919) in

@@ -347,6 +347,60 @@ let test_log_store_open_is_readonly () =
   Alcotest.(check bool) "no bytes written" true (before = mtimes ());
   rm_rf dir
 
+(* --- the <root>/p<pid> layout -------------------------------------------- *)
+
+let test_pid_dir_names () =
+  List.iter
+    (fun pid ->
+      let name = Filename.basename (Log_store.pid_dir "root" pid) in
+      Alcotest.(check (option int)) name (Some pid)
+        (Log_store.pid_of_dir_name name))
+    [ 0; 17 ];
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int)) name None (Log_store.pid_of_dir_name name))
+    [ "p01"; "p-1"; "p+1"; "p"; "q1"; "p00"; "p1x"; "" ]
+
+let cli_exe =
+  let cand = Filename.concat ".." "bin/rdtgc_cli.exe" in
+  if Sys.file_exists cand then cand else "_build/default/bin/rdtgc_cli.exe"
+
+let test_store_stats_ignores_aliases () =
+  (* [p01] is not the directory of pid 1: store-stats must neither report
+     a [p1] row nor create [p1/] while inspecting the root *)
+  let root = tmp_dir () in
+  List.iter
+    (fun dir ->
+      let t = Log_store.create ~config:no_auto ~pid:0 ~dir () in
+      Log_store.append t (mk_entry 0);
+      Log_store.close t)
+    [ Log_store.pid_dir root 0; Filename.concat root "p01" ];
+  let out = Filename.temp_file "rdtgc_store_stats" ".txt" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process cli_exe
+      [| cli_exe; "store-stats"; root |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  let rows =
+    In_channel.with_open_text out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match String.index_opt l ' ' with
+           | Some i ->
+             let first = String.sub l 0 i in
+             Option.map (fun _ -> first) (Log_store.pid_of_dir_name first)
+           | None -> None)
+  in
+  let listing = List.sort compare (Array.to_list (Sys.readdir root)) in
+  Sys.remove out;
+  rm_rf root;
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check (list string)) "rows" [ "p0" ] rows;
+  Alcotest.(check (list string)) "nothing created" [ "p0"; "p01" ] listing
+
 (* --- injected crashes --------------------------------------------------- *)
 
 (* Drive a store with fsync-per-record until the armed fault fires; with
@@ -602,6 +656,10 @@ let suite =
       test_log_store_corrupt_record;
     Alcotest.test_case "opening never writes" `Quick
       test_log_store_open_is_readonly;
+    Alcotest.test_case "p<pid> directory names are canonical" `Quick
+      test_pid_dir_names;
+    Alcotest.test_case "store-stats ignores aliased pid directories" `Quick
+      test_store_stats_ignores_aliases;
     Alcotest.test_case "crash: short write" `Quick test_crash_short_write;
     Alcotest.test_case "crash: before sync" `Quick test_crash_before_sync;
     Alcotest.test_case "crash: bit flip" `Quick test_crash_bit_flip;
